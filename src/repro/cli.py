@@ -1212,8 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-request deadline; admitted requests not "
                               "answered in time get 503 (default 5)")
     p_serve.add_argument("--concurrency", type=int, default=8,
-                         help="classification workers draining the queue "
-                              "(default 8)")
+                         help="service slots: requests in service at once; "
+                              "the rest wait in the admission queue (default 8)")
     p_serve.add_argument("--drain-timeout", type=float, default=10.0, metavar="S",
                          help="seconds a shutdown signal waits for accepted "
                               "requests before deadlining them (default 10)")

@@ -112,10 +112,13 @@ def usage_breakdown(
     columns (the paper uses trace-wide totals); they default to the
     classified population's own totals.
     """
+    # A zero denominator (an empty trace) yields zero shares, not a crash.
     if total_requests is None:
-        total_requests = sum(usage.stats.requests for usage in usages) or 1
+        total_requests = sum(usage.stats.requests for usage in usages)
     if total_ads is None:
-        total_ads = sum(usage.stats.ad_requests for usage in usages) or 1
+        total_ads = sum(usage.stats.ad_requests for usage in usages)
+    total_requests = total_requests or 1
+    total_ads = total_ads or 1
     n_users = len(usages) or 1
 
     rows = []

@@ -7,10 +7,11 @@ once and classified against over HTTP.  The serving layers are:
 
 * :mod:`repro.serve.http11` — a dependency-free asyncio HTTP/1.1
   transport (aiohttp is not a hard dependency of this repo; the daemon
-  must run on a bare python toolchain);
-* :mod:`repro.serve.admission` — the bounded admission queue with
-  explicit backpressure (429 + ``Retry-After``) and per-request
-  deadlines (503);
+  must run on a bare python toolchain) that answers requests inside
+  the callback that delivered them when no waiting is needed;
+* :mod:`repro.serve.admission` — service slots and a bounded waiting
+  line with explicit backpressure (429 + ``Retry-After``) and
+  per-request deadlines (503);
 * :mod:`repro.serve.reload` — hot filter-list reload with atomic
   engine swap, keyed by the engine fingerprint so the decision cache
   invalidates exactly when the list actually changed;
@@ -21,7 +22,7 @@ once and classified against over HTTP.  The serving layers are:
   graceful drain.
 """
 
-from repro.serve.admission import AdmissionQueue, DeadlineExceeded, Shed, Ticket
+from repro.serve.admission import AdmissionQueue, DeadlineExceeded, Shed
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.metrics import ServeMetrics
 from repro.serve.reload import EngineHolder, EngineSource, ReloadManager
@@ -36,5 +37,4 @@ __all__ = [
     "ServeConfig",
     "ServeMetrics",
     "Shed",
-    "Ticket",
 ]

@@ -3,28 +3,37 @@
 The daemon's robustness invariant is *exact accounting*: every classify
 request is *exactly one* of
 
-* **shed** — refused at the door (queue full, or draining) with 429/503
-  and a ``Retry-After``, never enqueued;
+* **shed** — refused at the door (waiting line full, or draining) with
+  429/503 and a ``Retry-After``, never admitted;
 * **served** — admitted and answered (200, or 400 for a body the
   handler rejected);
 * **timed out** — admitted but not answered within its deadline (503).
 
 The chaos tests sum these against the request total and require
-equality; nothing may be double-counted or dropped on the floor, which
-is why ticket resolution is single-owner (:meth:`Ticket.claim`): the
-waiting request handler and the worker that eventually processes the
-ticket race politely, and exactly one of them books the outcome.
+equality.  Each outcome is booked by the one call that admitted the
+request, whichever way it ends.
+
+``concurrency`` service slots bound the requests in service, and at
+most ``depth`` more wait in line, first come first served; a finishing
+request hands its slot straight to the next waiter.  A request that
+finds a free slot and no line is served inside the caller by
+:meth:`AdmissionQueue.serve_now`: nothing can delay it, so it needs no
+deadline.  A request that must wait or suspend goes through the
+coroutine :meth:`AdmissionQueue.submit`, whose deadline covers the wait
+*and* the service: at expiry the handler is cancelled and the request
+answered 503.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Any, Awaitable, Callable
+import contextlib
+from collections import deque
+from typing import Any, Callable
 
 from repro.serve.metrics import ServeMetrics
 
-__all__ = ["AdmissionQueue", "DeadlineExceeded", "Shed", "Ticket"]
+__all__ = ["AdmissionQueue", "DeadlineExceeded", "Shed"]
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_TIMEOUT_S = 5.0
@@ -44,36 +53,13 @@ class DeadlineExceeded(Exception):
     """The request was admitted but its deadline expired unanswered."""
 
 
-@dataclass(slots=True)
-class Ticket:
-    """One admitted request waiting for a worker."""
-
-    payload: Any
-    future: asyncio.Future
-    claimed: bool = False
-
-    def claim(self) -> bool:
-        """Take ownership of the outcome; exactly one caller wins."""
-        if self.claimed:
-            return False
-        self.claimed = True
-        return True
-
-
 class AdmissionQueue:
-    """Bounded queue + worker pool between the HTTP layer and the engine.
-
-    ``handler`` is the application's classify function; workers await it
-    for each admitted ticket.  The queue depth bounds memory and tail
-    latency; admission failure is immediate and explicit (429), and the
-    per-request deadline is enforced by the *waiter* (the HTTP handler
-    coroutine), which is the only place that can still answer the
-    client — a worker discovering a stale ticket just drops it.
-    """
+    """Service slots and a bounded waiting line before ``handler``,
+    the application's synchronous classify function."""
 
     def __init__(
         self,
-        handler: Callable[[Any], Awaitable[Any]],
+        handler: Callable[[Any], Any],
         metrics: ServeMetrics,
         *,
         depth: int = DEFAULT_QUEUE_DEPTH,
@@ -88,12 +74,12 @@ class AdmissionQueue:
         self._metrics = metrics
         self._timeout_s = timeout_s
         self._depth = depth
-        self._concurrency = concurrency
-        self._queue: asyncio.Queue[Ticket] = asyncio.Queue(maxsize=depth)
-        self._workers: list[asyncio.Task[None]] = []
-        self._pending = 0  # queued + in service, not yet claimed
+        self._free = concurrency  # service slots nobody holds
+        self._waiters: deque[asyncio.Future[None]] = deque()
+        self._active: set[asyncio.Task[Any]] = set()  # tasks inside submit()
         self._idle = asyncio.Event()
         self._idle.set()
+        self._drain_expired = False
         self.draining = False
 
     @property
@@ -101,117 +87,123 @@ class AdmissionQueue:
         return self._depth
 
     @property
-    def timeout_s(self) -> float:
-        return self._timeout_s
-
-    @property
     def queued(self) -> int:
-        return self._queue.qsize()
+        return len(self._waiters)
 
-    @property
-    def pending(self) -> int:
-        return self._pending
+    def can_serve_now(self) -> bool:
+        """Would a request be served at once, with no wait and no shed?"""
+        return self._free > 0 and not self._waiters and not self.draining
 
-    def start(self) -> None:
-        for _ in range(self._concurrency):
-            self._workers.append(asyncio.ensure_future(self._worker()))
+    # -- the fast path -----------------------------------------------------
 
-    # -- admission ---------------------------------------------------------
+    def serve_now(self, payload: Any) -> Any:
+        """Admit and serve at once; only after :meth:`can_serve_now`."""
+        self._metrics.accepted += 1
+        try:
+            result = self._handler(payload)
+        except Exception:  # staticcheck: ok[RC002] booked here, re-raised for the caller's 500
+            self._metrics.book_internal_error()
+            raise
+        self._metrics.book_served()
+        return result
 
-    async def submit(self, payload: Any) -> Any:
-        """Admit, await the outcome, enforce the deadline.
+    # -- the slow path -----------------------------------------------------
 
-        Raises :class:`Shed` without enqueueing when the queue is full
-        or the daemon is draining; raises :class:`DeadlineExceeded` when
-        the ticket was admitted but not processed in time.
+    async def submit(self, payload: Any, delay_s: float = 0.0) -> Any:
+        """Admit, wait for a slot, serve, all inside the deadline.
+
+        ``delay_s`` is a suspension inside service, holding the slot
+        (the ``slow-handler`` chaos fault).  Raises :class:`Shed`
+        without admitting when the line is full or the daemon is
+        draining; raises :class:`DeadlineExceeded` when the request was
+        admitted but not served in time, or was still pending when a
+        drain ran out of patience.
         """
         if self.draining:
             self._metrics.shed_draining += 1
             raise Shed("draining", retry_after_s=1.0)
-        ticket = Ticket(payload=payload, future=asyncio.get_running_loop().create_future())
-        try:
-            self._queue.put_nowait(ticket)
-        except asyncio.QueueFull:
+        must_wait = not self.can_serve_now()
+        if must_wait and len(self._waiters) >= self._depth:
             self._metrics.shed_queue_full += 1
-            raise Shed("queue full", retry_after_s=self._retry_after()) from None
+            raise Shed("queue full", retry_after_s=self._retry_after())
         self._metrics.accepted += 1
-        self._pending += 1
+        task = asyncio.current_task()
+        assert task is not None
+        self._active.add(task)
         self._idle.clear()
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(ticket.future), timeout=self._timeout_s
-            )
-        except asyncio.TimeoutError:
-            if ticket.claim():
-                self._book_done(self._metrics.book_timeout)
+            async with asyncio.timeout(self._timeout_s):
+                if must_wait:
+                    await self._wait_for_slot()
+                else:
+                    self._free -= 1
+                try:
+                    if delay_s > 0.0:
+                        await asyncio.sleep(delay_s)
+                    result = self._handler(payload)
+                finally:
+                    self._release_slot()
+        except TimeoutError:
+            self._metrics.book_timeout()
             raise DeadlineExceeded from None
         except asyncio.CancelledError:
-            if ticket.future.cancelled():
-                # Drain force-resolution: the canceller already claimed
-                # and booked this ticket as timed out — answer 503.
+            self._metrics.book_timeout()
+            if self._drain_expired:
+                task.uncancel()  # drain's cancel, answered here as a 503
                 raise DeadlineExceeded from None
-            raise  # the waiter itself was cancelled (connection died)
+            raise
+        except Exception:  # staticcheck: ok[RC002] booked here, re-raised for the caller's 500
+            self._metrics.book_internal_error()
+            raise
+        finally:
+            self._active.discard(task)
+            if not self._active:
+                self._idle.set()
+        self._metrics.book_served()
+        return result
+
+    async def _wait_for_slot(self) -> None:
+        waiter: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if waiter.cancelled():
+                with contextlib.suppress(ValueError):
+                    self._waiters.remove(waiter)
+            else:
+                self._release_slot()  # handed a slot as we were cancelled
+            raise
+
+    def _release_slot(self) -> None:
+        """Hand the slot to the first live waiter, or free it."""
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+        self._free += 1
 
     def _retry_after(self) -> float:
-        """A Retry-After estimate: time to drain half the queue."""
+        """A Retry-After estimate: time to serve half the waiting line."""
         per_request = self._timeout_s / max(1, self._depth)
-        return max(0.1, per_request * self._queue.qsize() / 2)
-
-    def _book_done(self, book: Callable[[], None]) -> None:
-        book()
-        self._pending -= 1
-        if self._pending == 0:
-            self._idle.set()
-
-    # -- the worker pool ---------------------------------------------------
-
-    async def _worker(self) -> None:
-        while True:
-            ticket = await self._queue.get()
-            if ticket.claimed:
-                continue  # deadline fired while queued; already booked
-            try:
-                result = await self._handler(ticket.payload)
-            except asyncio.CancelledError:
-                # Drain cancellation: resolve rather than drop, so the
-                # waiter books the timeout instead of hanging.
-                if ticket.claim():
-                    self._book_done(self._metrics.book_timeout)
-                    ticket.future.cancel()
-                raise
-            except Exception as exc:  # staticcheck: ok[RC002] handler bugs must 500, not kill the worker
-                if ticket.claim():
-                    self._book_done(self._metrics.book_internal_error)
-                    ticket.future.set_exception(exc)
-                    # The waiter consumes it; stop the "never retrieved"
-                    # warning if the waiter already timed out racing us.
-                    ticket.future.exception()
-                continue
-            if ticket.claim():
-                self._book_done(self._metrics.book_served)
-                ticket.future.set_result(result)
+        return max(0.1, per_request * len(self._waiters) / 2)
 
     # -- drain -------------------------------------------------------------
 
     async def drain(self, deadline_s: float) -> None:
-        """Stop admitting, finish queued work, deadline the rest.
+        """Stop admitting, finish admitted work, deadline the rest.
 
-        After ``deadline_s`` any still-unclaimed ticket is resolved as
-        timed out (its waiter answers 503), so the accounting invariant
-        holds even for a drain that runs out of patience.
+        After ``deadline_s`` every request still waiting or in service
+        is cancelled and answered 503 as timed out, so the accounting
+        invariant holds even for a drain that runs out of patience.
         """
         self.draining = True
         try:
-            await asyncio.wait_for(self._idle.wait(), timeout=deadline_s)
-        except asyncio.TimeoutError:
-            pass
-        while not self._queue.empty():
-            ticket = self._queue.get_nowait()
-            if ticket.claim():
-                self._book_done(self._metrics.book_timeout)
-                ticket.future.cancel()
-        for worker in self._workers:
-            worker.cancel()
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers.clear()
+            async with asyncio.timeout(deadline_s):
+                await self._idle.wait()
+        except TimeoutError:
+            self._drain_expired = True
+            for task in tuple(self._active):
+                task.cancel()
+            await self._idle.wait()

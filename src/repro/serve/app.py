@@ -12,8 +12,9 @@ and owns the graceful-drain sequence (DESIGN.md §13.4):
    classify requests are shed with 503, health endpoints stay up;
 2. the listening socket closes; responses start carrying
    ``Connection: close`` so keep-alive clients migrate off;
-3. the queue drains: every already-accepted request is answered (or,
-   past the drain deadline, resolved as timed out — never dropped);
+3. admitted work finishes: every already-accepted request is answered
+   (or, past the drain deadline, cancelled and answered as timed out —
+   never dropped);
 4. open connections get a short grace to flush, then the loop exits
    with code 0 (SIGTERM) or 130 (SIGINT).
 
@@ -27,8 +28,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from repro.core.content_type import infer_content_type, type_from_mime
 from repro.exitcodes import EXIT_CLEAN as EXIT_OK
@@ -126,13 +128,15 @@ class ServeApp:
         self.metrics = ServeMetrics()
         self.manager = ReloadManager(source, holder, log=log)
         self.admission = AdmissionQueue(
-            self._classify_ticket,
+            self._classify_payload,
             self.metrics,
             depth=config.queue_depth,
             timeout_s=config.timeout_s,
             concurrency=config.concurrency,
         )
-        self.server = HttpServer(self._route, host=config.host, port=config.port)
+        self.server = HttpServer(
+            self._route, host=config.host, port=config.port, on_response=self._answered
+        )
         self.injector = ServeFaultInjector.from_spec(config.chaos)
         self.draining = False
         self._exit_code = EXIT_OK
@@ -146,8 +150,7 @@ class ServeApp:
         return self.server.port
 
     async def start(self) -> int:
-        """Start workers and the listener; returns the bound port."""
-        self.admission.start()
+        """Start the listener; returns the bound port."""
         return await self.server.start()
 
     def install_signal_handlers(self) -> None:
@@ -199,7 +202,7 @@ class ServeApp:
 
     # -- routing -----------------------------------------------------------
 
-    async def _route(self, request: Request) -> Response:
+    def _route(self, request: Request) -> Response | Awaitable[Response]:
         if request.path == "/healthz":
             if request.method != "GET":
                 return _json_response(405, {"error": "method not allowed"})
@@ -215,14 +218,16 @@ class ServeApp:
         if request.path == "/classify":
             if request.method != "POST":
                 return _json_response(405, {"error": "method not allowed"})
-            return await self._classify(request)
+            return self._classify(request)
         if request.path == "/-/reload":
             if request.method != "POST":
                 return _json_response(405, {"error": "method not allowed"})
-            outcome = await self._reload("http")
-            status = 200 if outcome.status in ("swapped", "noop") else 503
-            return _json_response(status, outcome.to_dict())
+            return self._reload_response()
         return _json_response(404, {"error": f"no route {request.path}"})
+
+    def _answered(self, request: Request, started_ns: int) -> None:
+        if request.path == "/classify":
+            self.metrics.observe_latency(time.perf_counter_ns() - started_ns)
 
     def _readyz(self) -> Response:
         reasons: list[str] = []
@@ -251,7 +256,8 @@ class ServeApp:
 
     # -- /classify ---------------------------------------------------------
 
-    async def _classify(self, request: Request) -> Response:
+    def _classify(self, request: Request) -> Response | Awaitable[Response]:
+        """Answer at once when a slot is free; otherwise wait in admission."""
         body = request.body
         delay_s = 0.0
         if self.injector is not None:
@@ -261,8 +267,17 @@ class ServeApp:
             if actions.mangle_body:
                 body = self.injector.mangle(body)
             delay_s = actions.delay_s
+        if delay_s > 0.0 or not self.admission.can_serve_now():
+            return self._classify_queued(body, delay_s)
         try:
-            status, result = await self.admission.submit((body, delay_s))
+            response: Response = self.admission.serve_now(body)
+        except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
+            return self._internal_error(exc)
+        return response
+
+    async def _classify_queued(self, body: bytes, delay_s: float) -> Response:
+        try:
+            response: Response = await self.admission.submit(body, delay_s)
         except Shed as shed:
             http_status = 503 if shed.reason == "draining" else 429
             return _json_response(
@@ -273,26 +288,25 @@ class ServeApp:
         except DeadlineExceeded:
             return _json_response(503, {"error": "deadline exceeded"})
         except Exception as exc:  # staticcheck: ok[RC002] handler bugs must answer 500, not kill the connection
-            self.log(f"classify failed: {exc!r}")
-            return _json_response(500, {"error": "internal error"})
-        if status != 200:
-            self.metrics.client_errors += 1
-        return _json_response(status, result)
+            return self._internal_error(exc)
+        return response
 
-    async def _classify_ticket(self, payload: tuple[bytes, float]) -> tuple[int, dict]:
-        """Admission worker handler: parse, classify, shape the response.
+    def _internal_error(self, exc: Exception) -> Response:
+        self.log(f"classify failed: {exc!r}")
+        return _json_response(500, {"error": "internal error"})
 
-        Client mistakes come back as ``(400, body)`` rather than an
-        exception — the ticket *was* answered, so the worker books it
-        served and the waiter adds it to the ``client_errors`` subset.
+    def _classify_payload(self, body: bytes) -> Response:
+        """Admission handler: parse, classify, shape the response.
+
+        A client mistake is answered 400 rather than raised — the
+        request *was* answered, so admission books it served, and it
+        joins the ``client_errors`` subset.
         """
-        body, delay_s = payload
-        if delay_s > 0.0:
-            await asyncio.sleep(delay_s)
         try:
-            return 200, self._classify_body(body)
+            return _json_response(200, self._classify_body(body))
         except _BadBody as bad:
-            return 400, {"error": bad.reason}
+            self.metrics.client_errors += 1
+            return _json_response(400, {"error": bad.reason})
 
     def _classify_body(self, body: bytes) -> dict:
         try:
@@ -358,6 +372,11 @@ class ServeApp:
         }
 
     # -- reload ------------------------------------------------------------
+
+    async def _reload_response(self) -> Response:
+        outcome = await self._reload("http")
+        status = 200 if outcome.status in ("swapped", "noop") else 503
+        return _json_response(status, outcome.to_dict())
 
     async def _reload(self, origin: str) -> ReloadOutcome:
         self.metrics.reloads_attempted += 1

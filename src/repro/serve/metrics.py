@@ -12,6 +12,11 @@ structure::
 
 ``client_errors`` (400s for bodies the handler rejected) is an
 informational *subset* of ``served`` — the request was answered.
+
+``serve.latency_us`` is a log2 histogram of in-daemon time per
+``/classify``, from its bytes being complete to its response being
+written: ``counts[i]`` holds times below ``upper[i]`` = 2**i µs and at
+least ``upper[i - 1]``; the last bucket also takes everything slower.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from repro.filterlist.cache import CacheStats
 from repro.robustness.health import PipelineHealth
 
 __all__ = ["ServeMetrics"]
+
+LATENCY_BUCKETS = 24  # upper bounds 1 µs .. 2**23 µs (8.4 s)
 
 
 @dataclass(slots=True)
@@ -40,8 +47,9 @@ class ServeMetrics:
     reloads_failed: int = 0
     reloads_noop: int = 0
     health: PipelineHealth = field(default_factory=PipelineHealth)
+    latency_counts: list[int] = field(default_factory=lambda: [0] * LATENCY_BUCKETS)
 
-    # -- admission bookkeeping (single-owner, via Ticket.claim) ------------
+    # -- admission bookkeeping (once per request, by the call that admitted it)
 
     def book_served(self) -> None:
         self.served += 1
@@ -51,6 +59,10 @@ class ServeMetrics:
 
     def book_timeout(self) -> None:
         self.timed_out += 1
+
+    def observe_latency(self, elapsed_ns: int) -> None:
+        bucket = (elapsed_ns // 1000).bit_length()
+        self.latency_counts[min(bucket, LATENCY_BUCKETS - 1)] += 1
 
     # -- derived -----------------------------------------------------------
 
@@ -99,6 +111,10 @@ class ServeMetrics:
                 "queued": queued,
                 "queue_depth": queue_depth,
                 "draining": draining,
+                "latency_us": {
+                    "upper": [1 << i for i in range(LATENCY_BUCKETS)],
+                    "counts": list(self.latency_counts),
+                },
             },
             "reload": {
                 "attempted": self.reloads_attempted,

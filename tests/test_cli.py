@@ -82,6 +82,24 @@ class TestTraceAndClassify:
         assert "usage classes" in out
         assert "likely Adblock Plus users" in out
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    def test_usage_on_zero_record_trace(self, tmp_path, capsys, durable):
+        """Regression: an empty trace used to divide by zero in Table 3."""
+        from repro.http.log import write_log
+
+        http_path, tls_path = tmp_path / "empty.tsv", tmp_path / "empty.tls"
+        with open(http_path, "w") as stream:
+            write_log([], stream)
+        tls_path.write_text("#ts\tclient\tserver\tserver_port\n")
+        extra = ["--checkpoint-dir", str(tmp_path / "ckpt")] if durable else []
+        code = main(
+            ["usage", *_ECO, "--trace", str(http_path), "--tls", str(tls_path), *extra]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "usage classes" in out
+        assert "likely Adblock Plus users: 0/0 active browsers" in out
+
     def test_report(self, trace_files, capsys):
         http_path, _ = trace_files
         assert main(["report", *_ECO, "--trace", str(http_path)]) == 0

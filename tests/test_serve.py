@@ -15,13 +15,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro.filterlist.engine import FilterEngine, RequestContext
 from repro.filterlist.lists import FilterList
 from repro.filterlist.options import ContentType
-from repro.serve import EngineHolder, EngineSource, ServeApp, ServeConfig
+from repro.serve import (
+    AdmissionQueue,
+    DeadlineExceeded,
+    EngineHolder,
+    EngineSource,
+    ServeApp,
+    ServeConfig,
+    ServeMetrics,
+)
+from repro.serve.http11 import HttpServer, Request, Response
 
 LIST_V1 = """! serve test list v1
 ||ads.example.com^
@@ -645,3 +655,284 @@ class TestServeChaos:
             check_accounting(app)
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Transport edge cases: the protocol parser's own buffer
+
+
+async def read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
+    """One response off a keep-alive connection: (status, body)."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = 0
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return int(lines[0].split()[1]), await reader.readexactly(length)
+
+
+def classify_wire(url: str, *, eol: str = "\r\n", close: bool = False) -> bytes:
+    body = json.dumps({"url": url}).encode()
+    head = ["POST /classify HTTP/1.1", "Host: t", f"Content-Length: {len(body)}"]
+    if close:
+        head.append("Connection: close")
+    return (eol.join(head) + eol + eol).encode() + body
+
+
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+class TestTransportEdgeCases:
+    def test_two_pipelined_requests_in_one_write_answer_in_order(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(classify_wire(URLS[0]) + classify_wire(URLS[3]))
+            first = await read_response(reader)
+            second = await read_response(reader)
+            await close_writer(writer)
+            assert [first[0], second[0]] == [200, 200]
+            assert json.loads(first[1])["result"] == expected_result(LIST_V1, URLS[0])
+            assert json.loads(second[1])["result"] == expected_result(LIST_V1, URLS[3])
+            await stop(app)
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_pipelined_slow_request_keeps_order(self, tmp_path):
+        async def scenario():
+            # The first request suspends in service; the second, already
+            # buffered, must still be answered after it.
+            app = make_app(tmp_path, chaos="slow-handler:delay=0.1:for=1")
+            port = await start(app)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(classify_wire(URLS[0]) + classify_wire(URLS[3]))
+            first = await read_response(reader)
+            second = await read_response(reader)
+            await close_writer(writer)
+            assert json.loads(first[1])["result"]["url"] == URLS[0]
+            assert json.loads(second[1])["result"]["url"] == URLS[3]
+            await stop(app)
+            assert app.metrics.served == 2
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_request_delivered_one_byte_per_write(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for byte in classify_wire(URLS[0]):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0)
+            status, body = await read_response(reader)
+            await close_writer(writer)
+            assert status == 200
+            assert json.loads(body)["result"] == expected_result(LIST_V1, URLS[0])
+            await stop(app)
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_bare_lf_line_endings_are_accepted(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            status, body = await raw_socket_exchange(
+                classify_wire(URLS[0], eol="\n", close=True)
+            )(port)
+            assert status == 200
+            assert json.loads(body)["result"] == expected_result(LIST_V1, URLS[0])
+            await stop(app)
+
+        asyncio.run(scenario())
+
+    def test_idle_keep_alive_connection_is_closed(self, tmp_path):
+        async def scenario():
+            server = HttpServer(lambda request: Response(200, b"{}"), idle_timeout_s=0.1)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /x HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert (await read_response(reader))[0] == 200
+            # Idle from here on: closed after one to two idle periods.
+            assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+            await close_writer(writer)
+            assert not server._connections
+            await server.stop_accepting()
+            await server.wait_connections(grace_s=0.1)
+
+        asyncio.run(scenario())
+
+    def test_client_that_never_reads_stops_the_reading(self, tmp_path):
+        async def scenario():
+            calls = []
+
+            def handler(request: Request) -> Response:
+                calls.append(request.path)
+                return Response(200, b"x" * 16384, content_type="text/plain")
+
+            server = HttpServer(handler)
+            port = await server.start()
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            total = 2000
+            writer.write(b"GET /x HTTP/1.1\r\nHost: t\r\n\r\n" * total)
+            for _ in range(200):
+                if server._connections and next(iter(server._connections))._write_paused:
+                    break
+                await asyncio.sleep(0.01)
+            (conn,) = server._connections
+            assert conn._write_paused
+            assert not conn._transport.is_reading()
+            answered = len(calls)
+            await asyncio.sleep(0.2)
+            # Nothing more was parsed or answered while the client
+            # stayed away, so the daemon's buffers stay bounded.
+            assert len(calls) == answered < total
+            assert conn._transport.get_write_buffer_size() < 4 * 65536
+            for _ in range(total):
+                status, body = await read_response(reader)
+                assert status == 200 and len(body) == 16384
+            assert len(calls) == total
+            await close_writer(writer)
+            await server.stop_accepting()
+            await server.wait_connections(grace_s=0.1)
+
+        asyncio.run(scenario())
+
+
+class TestAdmissionSlots:
+    def test_expired_in_service_is_cancelled_and_hands_off_its_slot(self, tmp_path):
+        async def scenario():
+            # The first request sleeps 5 s in service, far past its
+            # 0.3 s deadline; the second waits for the only slot.
+            app = make_app(
+                tmp_path,
+                concurrency=1,
+                timeout_s=0.3,
+                chaos="slow-handler:delay=5:for=1",
+            )
+            port = await start(app)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            slow = asyncio.ensure_future(classify(port, {"url": URLS[0]}))
+            while app.metrics.accepted < 1:
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.1)
+            waiter = asyncio.ensure_future(classify(port, {"url": URLS[3]}))
+            while app.admission.queued < 1:
+                await asyncio.sleep(0.005)
+            status, doc = await slow
+            assert status == 503 and doc["error"] == "deadline exceeded"
+            assert loop.time() - started < 2.0  # cancelled, not slept out
+            status, doc = await waiter
+            assert status == 200  # got the slot before its own deadline
+            assert doc["result"] == expected_result(LIST_V1, URLS[3])
+            assert not app.admission._active
+            await stop(app)
+            assert (app.metrics.timed_out, app.metrics.served) == (1, 1)
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+    def test_waiter_expiring_in_line_is_removed_and_booked_once(self):
+        async def scenario():
+            metrics = ServeMetrics()
+            admission = AdmissionQueue(lambda payload: payload, metrics, depth=4,
+                                       timeout_s=5.0, concurrency=1)
+            holder = asyncio.ensure_future(admission.submit("held", 0.3))
+            await asyncio.sleep(0.01)
+            admission._timeout_s = 0.05  # only the waiter gets a short deadline
+            with pytest.raises(DeadlineExceeded):
+                await admission.submit("waiter")
+            assert admission.queued == 0
+            assert metrics.timed_out == 1
+            assert await holder == "held"
+            # The slot came back free: the expired waiter did not take it.
+            assert admission.can_serve_now()
+            assert admission.serve_now("next") == "next"
+            assert (metrics.accepted, metrics.served, metrics.timed_out) == (3, 2, 1)
+            assert metrics.in_flight == 0
+
+        asyncio.run(scenario())
+
+    def test_uncontended_classify_never_enters_submit(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            entered = 0
+            submit = app.admission.submit
+
+            async def counting(*args, **kwargs):
+                nonlocal entered
+                entered += 1
+                return await submit(*args, **kwargs)
+
+            app.admission.submit = counting
+            port = await start(app)
+            for url in URLS:
+                status, _ = await classify(port, {"url": url})
+                assert status == 200
+            await stop(app)
+            assert entered == 0
+            assert app.metrics.served == len(URLS)
+            check_accounting(app)
+
+        asyncio.run(scenario())
+
+
+class TestLatencyHistogram:
+    def test_buckets_are_log2_microseconds(self):
+        metrics = ServeMetrics()
+        for elapsed_ns in (0, 999, 1_000, 1_999, 3_000, 10**12):
+            metrics.observe_latency(elapsed_ns)
+        counts = metrics.latency_counts
+        assert counts[0] == 2  # under 1 µs
+        assert counts[1] == 2  # [1, 2) µs
+        assert counts[2] == 1  # [2, 4) µs
+        assert counts[-1] == 1  # 1000 s lands in the open last bucket
+
+    def test_metrics_document_counts_each_classify_once(self, tmp_path):
+        async def scenario():
+            app = make_app(tmp_path)
+            port = await start(app)
+            for url in URLS:
+                await classify(port, {"url": url})
+            await http(port, "GET", "/healthz")
+            _, _, body = await http(port, "GET", "/metrics")
+            await stop(app)
+            return json.loads(body)["serve"]["latency_us"]
+
+        latency = asyncio.run(scenario())
+        assert latency["upper"] == [1 << i for i in range(len(latency["counts"]))]
+        assert sum(latency["counts"]) == len(URLS)
+
+    def test_schema_pins_the_histogram_keys(self):
+        import ast
+        import inspect
+
+        from repro.serve import metrics as metrics_module
+        from repro.staticcheck.protocol import SCHEMA_PATH, extract_key_paths
+
+        tree = ast.parse(inspect.getsource(metrics_module))
+        (snapshot,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "snapshot"
+        ]
+        with open(SCHEMA_PATH, encoding="utf-8") as stream:
+            pinned = json.load(stream)["surfaces"]["repro/serve/metrics.py:ServeMetrics.snapshot"]
+        emitted = extract_key_paths(snapshot)
+        assert emitted == set(pinned)
+        assert {"serve.latency_us.upper", "serve.latency_us.counts"} <= emitted
