@@ -6,9 +6,10 @@ emits the same rows/series the paper reports, in a diff-friendly form.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["render_table", "render_histogram", "render_boxplot_row", "format_pct"]
 
@@ -44,6 +45,8 @@ def render_histogram(
     label=lambda e: f"{e:8.2f}",
 ) -> str:
     """Render a histogram/density as horizontal ASCII bars."""
+    import numpy as np
+
     lines = [title] if title else []
     peak = float(np.max(values)) if len(values) and np.max(values) > 0 else 1.0
     for index, value in enumerate(values):
@@ -57,6 +60,8 @@ def render_boxplot_row(label: str, values: Sequence[float]) -> dict:
     """Five-number summary row for Fig 2-style box plots."""
     if not values:
         return {"config": label, "min": "-", "q1": "-", "median": "-", "q3": "-", "p95": "-"}
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     return {
         "config": label,

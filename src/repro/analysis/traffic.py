@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.content_type import mime_class
 from repro.core.pipeline import ClassifiedRequest
 from repro.filterlist.lists import ACCEPTABLE_ADS, EASYLIST, EASYPRIVACY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TimeSeries",
@@ -119,6 +121,8 @@ class SizeDistribution:
         self, is_ad: bool, mime_klass: str, *, bins: int = 60
     ) -> tuple[np.ndarray, np.ndarray]:
         """Histogram-based density of log10(object size)."""
+        import numpy as np
+
         values = np.asarray(self.samples.get((is_ad, mime_klass), []), dtype=float)
         if values.size == 0:
             return np.zeros(bins), np.linspace(0, 8, bins + 1)
@@ -128,6 +132,8 @@ class SizeDistribution:
     def mode_bytes(self, is_ad: bool, mime_klass: str) -> float | None:
         """Location (bytes) of the density peak — e.g. the 43-byte
         tracking-pixel spike for ad images."""
+        import numpy as np
+
         histogram, edges = self.density(is_ad, mime_klass)
         if not histogram.any():
             return None
@@ -135,6 +141,8 @@ class SizeDistribution:
         return float(10 ** ((edges[peak] + edges[peak + 1]) / 2))
 
     def median_bytes(self, is_ad: bool, mime_klass: str) -> float | None:
+        import numpy as np
+
         values = self.samples.get((is_ad, mime_klass))
         if not values:
             return None
@@ -146,6 +154,8 @@ _FIG6_CLASSES = ("image", "text", "video", "app")
 
 def object_size_distributions(entries: list[ClassifiedRequest]) -> SizeDistribution:
     """Fig 6a/6b input: log sizes keyed by (ad?, MIME class)."""
+    import numpy as np
+
     distribution = SizeDistribution()
     for entry in entries:
         size = entry.record.content_length

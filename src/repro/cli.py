@@ -431,17 +431,39 @@ def _write_tls(records: list[TlsConnectionRecord], stream: TextIO) -> None:
         stream.write(f"{record.ts}\t{record.client}\t{record.server}\t{record.server_port}\n")
 
 
-def _read_tls(stream: TextIO) -> list[TlsConnectionRecord]:
+def _read_tls(path: str, policy: ErrorPolicy, health: PipelineHealth) -> list[TlsConnectionRecord]:
+    """Read the TLS connection log under the command's error policy.
+
+    A malformed line aborts a strict run like a malformed HTTP log line
+    does; under ``skip``/``quarantine`` it is dropped, counted in
+    ``health`` as a ``read_tls`` error and reported with the total.
+    """
     records = []
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ts, client, server, port = line.split("\t")
-        records.append(
-            TlsConnectionRecord(ts=float(ts), client=client, server=server,
-                                server_port=int(port))
-        )
+    dropped = 0
+    with open(path) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) == 4:
+                ts, client, server, port = fields
+                try:
+                    records.append(
+                        TlsConnectionRecord(ts=float(ts), client=client, server=server,
+                                            server_port=int(port))
+                    )
+                    continue
+                except ValueError as exc:
+                    reason, category = f"bad value: {exc}", "bad-value"
+            else:
+                reason, category = f"expected 4 fields, got {len(fields)}", "field-count"
+            if policy is ErrorPolicy.STRICT:
+                raise LogParseError(line_no, reason, line, source=path)
+            health.record_error("read_tls", category)
+            dropped += 1
+    if dropped:
+        print(f"dropped {dropped} malformed lines from {path}")
     return records
 
 
@@ -710,6 +732,9 @@ def _cmd_usage(args: argparse.Namespace) -> int:
     _check_checkpoint_args(args)
     ecosystem = _ecosystem_from(args)
     get_lists = _lists_factory(args)
+    # Read first: a strict abort on the TLS log must not wait for the HTTP pass.
+    tls_health = PipelineHealth()
+    tls_records = _read_tls(args.tls, ErrorPolicy(args.on_error), tls_health)
 
     if args.checkpoint_dir:
         lists = get_lists()
@@ -741,8 +766,7 @@ def _cmd_usage(args: argparse.Namespace) -> int:
         total_requests = len(entries)
         total_ads = sum(1 for entry in entries if entry.is_ad)
 
-    with open(args.tls) as stream:
-        tls_records = _read_tls(stream)
+    health.merge(tls_health)
     downloads = easylist_download_clients(tls_records, abp_server_ips(ecosystem))
 
     annotation = annotate_browsers(heavy_hitters(stats, min_requests=args.min_requests))

@@ -98,18 +98,27 @@ def mime_class(mime: str | None) -> str:
 
 def infer_content_type(
     url: str,
-    mime: str | None,
+    mime: str | ContentType | None,
     *,
     is_page_root: bool = False,
     extension_first: bool = True,
 ) -> ContentType:
     """Full inference: extension first, header fallback, OTHER default.
 
+    ``mime`` is the ``Content-Type`` header value, or what
+    :func:`type_from_mime` already made of it without ``is_page_root``
+    — a caller that needs the header's type anyway (the pipeline reads
+    it to spot documents) passes it on instead of having it looked up
+    twice.  Either way an HTML header types as DOCUMENT for a page root
+    and SUBDOCUMENT otherwise.
+
     ``extension_first=False`` flips the priority — kept for the
     ablation benchmark on inference order (DESIGN.md §5).
     """
     from_extension = type_from_extension(url)
-    from_header = type_from_mime(mime, is_page_root=is_page_root)
+    from_header = type_from_mime(mime) if isinstance(mime, str) else mime
+    if is_page_root and from_header is ContentType.SUBDOCUMENT:
+        from_header = ContentType.DOCUMENT
     if extension_first:
         inferred = from_extension or from_header
     else:

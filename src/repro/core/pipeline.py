@@ -259,10 +259,8 @@ class StreamingClassifier:
             self.users.move_to_end(user)
 
         url = record.url
-        looks_like_document = type_from_mime(record.content_type) in (
-            ContentType.DOCUMENT,
-            ContentType.SUBDOCUMENT,
-        )
+        header_type = type_from_mime(record.content_type)
+        looks_like_document = header_type in (ContentType.DOCUMENT, ContentType.SUBDOCUMENT)
 
         if config.use_referrer_map:
             attribution = state.referrer_map.observe(
@@ -278,7 +276,7 @@ class StreamingClassifier:
 
         content_type = infer_content_type(
             url,
-            record.content_type,
+            header_type,
             is_page_root=is_page_root,
             extension_first=config.extension_first,
         )

@@ -13,7 +13,8 @@ from __future__ import annotations
 import io
 import zlib
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, TextIO
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, TextIO
 
 from repro.http.message import HttpTransaction
 from repro.robustness import ErrorPolicy, LogParseError, PipelineHealth, QuarantineWriter
@@ -103,9 +104,16 @@ def _encode(value: object) -> str:
 # (or an adversarially inflated header), not a legitimate value.
 _MAX_FIELD_LEN = 8192
 
+# Columns whose value can never be absent: ``-`` there is damage, not
+# an unset optional.  (``tcp_handshake_ms``/``flow_id`` may be missing
+# from an old header, but a present column must carry a value.)
+_REQUIRED_FIELDS = ("ts", "client", "server", "method", "host", "uri", "tcp_handshake_ms", "flow_id")
+
 
 def _decode(name: str, token: str) -> object:
     if token == _UNSET:
+        if name in _REQUIRED_FIELDS:
+            raise ValueError(f"{name} is required")
         return None
     token = token.replace("%09", "\t").replace("%0A", "\n")
     if name in ("ts", "tcp_handshake_ms", "http_handshake_ms"):
@@ -153,7 +161,12 @@ def _categorize(reason: str) -> str:
 
 
 def _decode_line(line: str, header: list[str]) -> HttpLogRecord:
-    """Decode one data line against ``header``; raises ValueError on damage."""
+    """Decode one data line against ``header``; raises ValueError on damage.
+
+    The field-by-field reference decoder: :func:`_compile_decoder`'s fast
+    path must agree with it on every line, and hands it every line the
+    fast path does not accept so the error wording has one source.
+    """
     tokens = line.split("\t")
     if len(tokens) != len(header):
         raise ValueError(f"expected {len(header)} fields, got {len(tokens)}")
@@ -174,6 +187,81 @@ def _decode_line(line: str, header: list[str]) -> HttpLogRecord:
     if unknown:
         raise ValueError(f"unknown fields: {', '.join(unknown)}")
     return HttpLogRecord(**values)  # type: ignore[arg-type]
+
+
+# An absent optional column decodes as if it held its default's token.
+_OPTIONAL_TOKENS = {name: _encode(default) for name, default in _OPTIONAL_DEFAULTS.items()}
+_HEADER_MINIMUM = set(_FIELD_NAMES) - set(_OPTIONAL_DEFAULTS)
+
+
+def _compile_decoder(header: list[str]) -> Callable[[str], HttpLogRecord]:
+    """A decoder for lines under ``header``, equivalent to :func:`_decode_line`.
+
+    Field positions are resolved once, here: a clean line costs one
+    split, one reorder through an ``itemgetter`` (absent optional
+    columns padded with their default tokens) and fixed-position
+    conversions.  Any line the fast path cannot vouch for — wrong
+    width, a field that may be oversized, an ``%09``/``%0A`` escape, a
+    value that does not convert, ``-`` in a required column, a
+    non-finite timing — is decoded by :func:`_decode_line` instead, which
+    accepts it identically or raises the reference error.  A header
+    with duplicate, unknown or missing required names gets the
+    reference decoder outright.
+    """
+    names = set(header)
+    if len(names) != len(header) or not _HEADER_MINIMUM <= names <= set(_FIELD_NAMES):
+        return lambda line: _decode_line(line, header)
+    width = len(header)
+    positions: list[int] = []
+    pad: list[str] = []
+    for name in _FIELD_NAMES:
+        if name in names:
+            positions.append(header.index(name))
+        else:
+            positions.append(width + len(pad))
+            pad.append(_OPTIONAL_TOKENS[name])
+    pick = itemgetter(*positions)
+
+    def decode(line: str) -> HttpLogRecord:
+        tokens = line.split("\t")
+        if len(tokens) == width and len(line) <= _MAX_FIELD_LEN and "%0" not in line:
+            if pad:
+                tokens += pad
+            (ts, client, server, method, host, uri, referrer, user_agent, status,
+             content_type, content_length, location, tcp_ms, http_ms, flow_id) = pick(tokens)
+            try:
+                ts = float(ts)
+                tcp_ms = float(tcp_ms)
+                http_ms = None if http_ms == "-" else float(http_ms)
+                status = None if status == "-" else int(status)
+                content_length = None if content_length == "-" else int(content_length)
+                flow_id = int(flow_id)
+            except ValueError:
+                pass
+            else:
+                # x - x is 0.0 for every finite float and nan otherwise.
+                if (
+                    "-" not in (client, server, method, host, uri)
+                    and ts - ts == 0.0
+                    and tcp_ms - tcp_ms == 0.0
+                    and (http_ms is None or http_ms - http_ms == 0.0)
+                ):
+                    return HttpLogRecord(
+                        ts, client, server, method, host, uri,
+                        None if referrer == "-" else referrer,
+                        None if user_agent == "-" else user_agent,
+                        status,
+                        None if content_type == "-" else content_type,
+                        content_length,
+                        None if location == "-" else location,
+                        tcp_ms, http_ms, flow_id,
+                    )
+        return _decode_line(line, header)
+
+    return decode
+
+
+_DEFAULT_DECODER = _compile_decoder(_FIELD_NAMES)
 
 
 def shard_of(client: str, user_agent: str, workers: int) -> int:
@@ -215,7 +303,7 @@ class _LineHandler:
     says whether this shard owns it.
     """
 
-    __slots__ = ("header", "on_error", "health", "quarantine", "shard", "owned")
+    __slots__ = ("_header", "decode", "on_error", "health", "quarantine", "shard", "owned")
 
     def __init__(
         self,
@@ -233,6 +321,16 @@ class _LineHandler:
         self.shard = shard
         self.owned = True
 
+    @property
+    def header(self) -> list[str] | None:
+        return self._header
+
+    @header.setter
+    def header(self, header: list[str] | None) -> None:
+        """Adopt ``header`` and compile the decoder for lines under it."""
+        self._header = header
+        self.decode = _DEFAULT_DECODER if header is None else _compile_decoder(header)
+
     def handle(self, line: str, line_no: int) -> HttpLogRecord | None:
         """Parse one newline-stripped line; ``None`` for non-records."""
         if not line:
@@ -245,7 +343,7 @@ class _LineHandler:
                 self.header = candidate
             return None
         try:
-            record = _decode_line(line, self.header if self.header is not None else _FIELD_NAMES)
+            record = self.decode(line)
         except ValueError as exc:
             reason = str(exc)
             if self.on_error is ErrorPolicy.STRICT:

@@ -36,14 +36,16 @@ class LogParseError(ValueError):
     """A log line failed to parse (strict mode).
 
     Carries the 1-based line number and the offending raw line so the
-    operator can locate the damage in the capture.
+    operator can locate the damage in the capture; ``source`` names the
+    file when the command reads more than one log.
     """
 
-    def __init__(self, line_no: int, reason: str, line: str = ""):
+    def __init__(self, line_no: int, reason: str, line: str = "", *, source: str | None = None):
         self.line_no = line_no
         self.reason = reason
         self.line = line
-        super().__init__(f"line {line_no}: {reason}")
+        where = f"{source} line {line_no}" if source else f"line {line_no}"
+        super().__init__(f"{where}: {reason}")
 
 
 class RunInterrupted(Exception):

@@ -270,3 +270,93 @@ class TestLintCommand:
     def test_no_input_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["lint"])
+
+
+@pytest.fixture(scope="module")
+def unset_host_trace(trace_files, tmp_path_factory):
+    """The fixture trace with ``-`` in the required ``host`` column of line 6."""
+    http_path, _ = trace_files
+    lines = http_path.read_text().splitlines(keepends=True)
+    header = lines[0][1:].rstrip("\n").split("\t")
+    tokens = lines[5].rstrip("\n").split("\t")
+    tokens[header.index("host")] = "-"
+    lines[5] = "\t".join(tokens) + "\n"
+    damaged = tmp_path_factory.mktemp("unset") / "unset.tsv"
+    damaged.write_text("".join(lines))
+    return damaged
+
+
+class TestUnsetRequiredColumn:
+    """Regression: ``-`` in a required column decoded as ``None`` — usage
+    died in ``UserStats.add``, classify wrote ``http://None/...`` rows."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    def test_usage_strict_aborts_citing_line(self, unset_host_trace, trace_files, capsys,
+                                             tmp_path, durable):
+        _, tls_path = trace_files
+        extra = ["--checkpoint-dir", str(tmp_path / "ckpt")] if durable else []
+        code = main(["usage", *_ECO, "--trace", str(unset_host_trace), "--tls", str(tls_path),
+                     *extra])
+        assert code == 1
+        assert "malformed input at line 6: bad value for field 'host': '-'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_usage_degrades_dropping_the_line(self, unset_host_trace, trace_files, capsys,
+                                              tmp_path, durable, policy):
+        _, tls_path = trace_files
+        extra = ["--checkpoint-dir", str(tmp_path / "ckpt")] if durable else []
+        code = main(["usage", *_ECO, "--trace", str(unset_host_trace), "--tls", str(tls_path),
+                     "--on-error", policy, "--quarantine-out", str(tmp_path / "q.tsv"), *extra])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "usage classes" in out
+        assert "read_log/bad-value: 1" in out
+
+    def test_classify_strict_aborts_citing_line(self, unset_host_trace, capsys):
+        assert main(["classify", *_ECO, "--trace", str(unset_host_trace)]) == 1
+        assert "malformed input at line 6: bad value for field 'host'" in capsys.readouterr().err
+
+    def test_classify_skip_writes_no_none_rows(self, unset_host_trace, trace_files, capsys,
+                                                tmp_path):
+        out_path = tmp_path / "out.tsv"
+        code = main(["classify", *_ECO, "--trace", str(unset_host_trace), "--on-error", "skip",
+                     "--out", str(out_path)])
+        assert code == 3
+        rows = out_path.read_text().splitlines()[1:]
+        data_lines = len(trace_files[0].read_text().splitlines()) - 1
+        assert len(rows) == data_lines - 1
+        assert not any("None" in row for row in rows)
+
+
+@pytest.fixture(scope="module")
+def damaged_tls(trace_files, tmp_path_factory):
+    """The fixture TLS log with a truncated line 3."""
+    _, tls_path = trace_files
+    lines = tls_path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].split("\t")[0] + "\n"
+    damaged = tmp_path_factory.mktemp("tls") / "damaged.tls"
+    damaged.write_text("".join(lines))
+    return damaged
+
+
+class TestMalformedTlsLog:
+    """Regression: a malformed ``--tls`` line crashed ``repro usage``."""
+
+    def test_strict_aborts_citing_file_and_line(self, trace_files, damaged_tls, capsys):
+        http_path, _ = trace_files
+        code = main(["usage", *_ECO, "--trace", str(http_path), "--tls", str(damaged_tls)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"malformed input at {damaged_tls} line 3: expected 4 fields, got 1" in err
+
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_degraded_modes_drop_and_count(self, trace_files, damaged_tls, capsys, policy):
+        http_path, _ = trace_files
+        code = main(["usage", *_ECO, "--trace", str(http_path), "--tls", str(damaged_tls),
+                     "--on-error", policy])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert f"dropped 1 malformed lines from {damaged_tls}" in out
+        assert "read_tls/field-count: 1" in out
+        assert "usage classes" in out

@@ -83,6 +83,21 @@ class TestInference:
             == ContentType.DOCUMENT
         )
 
+    @pytest.mark.parametrize("mime", ["text/html", "application/xhtml+xml; charset=utf-8",
+                                      "image/png", "application/json", "bogus/x", None, ""])
+    @pytest.mark.parametrize("is_page_root", [False, True])
+    @pytest.mark.parametrize("extension_first", [True, False])
+    def test_header_type_stands_in_for_the_header(self, mime, is_page_root, extension_first):
+        """Passing type_from_mime's result types exactly like the header
+        itself — an HTML page root is still a DOCUMENT."""
+        url = "http://x.example/page"
+        expected = infer_content_type(url, mime, is_page_root=is_page_root,
+                                      extension_first=extension_first)
+        assert infer_content_type(url, type_from_mime(mime), is_page_root=is_page_root,
+                                  extension_first=extension_first) == expected
+        if mime == "text/html":
+            assert expected == (ContentType.DOCUMENT if is_page_root else ContentType.SUBDOCUMENT)
+
     def test_mislabel_reproduces_paper_false_positive_channel(self):
         # A JavaScript object served as text/html with no extension is
         # typed subdocument — the paper's main mis-classification
